@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.gm.api import GMPort, RecvCompletion, SendCommand
 from repro.gm.memory import RegisteredMemory
 from repro.gm.tokens import ReceiveToken, SendToken
@@ -35,8 +35,8 @@ from repro.net.packet import (
 )
 from repro.nic.descriptor import PacketDescriptor
 from repro.nic.lanai import NIC, TX_PRIO_DATA
-from repro.proto import NEVER, GoBackN, RetransmitTimer, SendWindow, send_ack
-from repro.proto.engines import get_engine, unicast_engines
+from repro.proto import NEVER, RetransmitTimer, SendWindow, send_ack
+from repro.proto.engines.ack_window import AckWindowReceiver, AckWindowSender
 from repro.sim.resources import EMPTY, Store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,6 +68,12 @@ class SendRecord:
     #: flight-recorder trace id (-1 = untraced); stamped into every
     #: packet built from this record, retransmissions included.
     trace_id: int = -1
+
+    @property
+    def unacked(self) -> tuple[int]:
+        """Children still owing an ack: a unicast connection's one
+        child is the peer, for as long as the record is in the window."""
+        return (self.dst,)
 
 
 class Connection:
@@ -108,65 +114,21 @@ class _InflightRecv:
     app_info: Any = None
 
 
-class _GMGoBackN(GoBackN):
-    """GM's Go-back-N, bound to one engine's counters and transport."""
-
-    __slots__ = ("engine",)
-
-    def __init__(self, engine: "GMEngine"):
-        self.engine = engine
-
-    @property
-    def max_retransmits(self) -> int:
-        return self.engine.cost.max_retransmits
-
-    def count(self, record: SendRecord, *, conn: Connection) -> None:
-        self.engine.retransmissions += 1
-        m = self.engine.sim.metrics
-        if m is not None:
-            m.inc("proto.retransmits")
-
-    def unreachable(self, record: SendRecord, *, conn: Connection) -> str:
-        return (
-            f"{self.engine.nic.name}: packet seq={record.seq} to node "
-            f"{record.dst} dropped {record.retransmits} times — "
-            f"peer unreachable"
-        )
-
-    def resend(self, record: SendRecord, *, conn: Connection) -> Generator:
-        engine = self.engine
-        engine.sim.record(
-            engine.nic.name, "retransmit", seq=record.seq, dst=record.dst,
-            attempt=record.retransmits,
-        )
-        yield from engine._retransmit_record(conn, record)
-
-
 class GMEngine:
     """One GM protocol instance, bound to one NIC."""
 
-    def __init__(
-        self,
-        nic: NIC,
-        memory: RegisteredMemory | None = None,
-        reliability: str = "ack_window",
-    ):
+    #: metric counting Go-back-N resends (the engine sweep's adapter hook)
+    retransmit_counter = "proto.retransmits"
+
+    def __init__(self, nic: NIC, memory: RegisteredMemory | None = None):
         self.nic = nic
         self.sim = nic.sim
         self.cost = nic.cost
         self.memory = memory or RegisteredMemory(nic.id)
-        family = get_engine(reliability)
-        if not family.unicast:
-            raise ConfigError(
-                f"reliability engine {reliability!r} cannot drive GM "
-                f"unicast connections; unicast-capable engines: "
-                f"{', '.join(unicast_engines())}"
-            )
-        self.reliability = reliability
-        #: receiver half of the unicast reliability engine; GM's
-        #: ``Connection`` plays the engine's "group" role (only
-        #: ``recv_seq`` is touched by unicast-capable families).
-        self._receiver = family.receiver_cls(self)
+        #: the ``ack_window`` engine pair; GM's ``Connection`` plays the
+        #: engine's "group" role, with the peer as its one child.
+        self._sender = AckWindowSender(self)
+        self._receiver = AckWindowReceiver(self)
         self.ports: dict[int, GMPort] = {}
         self._send_conns: dict[tuple, Connection] = {}
         self._recv_conns: dict[tuple, Connection] = {}
@@ -174,7 +136,6 @@ class GMEngine:
         self.duplicates_dropped = 0
         self.out_of_order_dropped = 0
         self.no_token_dropped = 0
-        self.policy = _GMGoBackN(self)
 
         nic.command_handlers[SendCommand] = self._handle_send_command
         nic.packet_handlers[PacketType.DATA] = self._handle_data
@@ -332,17 +293,28 @@ class GMEngine:
             retransmits=record.retransmits,
         )
         self.sim.process(
-            self.policy.sweep(conn.window, record.seq, conn=conn),
+            self._sender.on_timeout(conn, record.seq),
             name=f"{self.nic.name}.gbn",
         )
 
-    def _retransmit_record(self, conn: Connection, record: SendRecord) -> Generator:
-        """Default retransmission: re-fetch the data from host memory.
+    def unreachable(self, conn: Connection, record: SendRecord,
+                    child: int) -> str:
+        """Escalation message once ``max_retransmits`` is exceeded."""
+        return (
+            f"{self.nic.name}: packet seq={record.seq} to node "
+            f"{record.dst} dropped {record.retransmits} times — "
+            f"peer unreachable"
+        )
 
-        Subclasses/sibling engines (multicast) override the data source;
-        for GM unicast the host buffer is always still registered while
-        the token is outstanding.
-        """
+    def retransmit(self, conn: Connection, record: SendRecord,
+                   child: int) -> Generator:
+        """Resend one record to the peer, re-fetching its data from host
+        memory (the buffer stays registered while the token is
+        outstanding).  The clock re-arms after the send DMA."""
+        self.sim.record(
+            self.nic.name, "retransmit", seq=record.seq, dst=record.dst,
+            attempt=record.retransmits,
+        )
         yield from self.nic.processing(self.cost.nic_per_packet_send)
         yield from self._transmit_record(conn, record)
 

@@ -50,7 +50,6 @@ class McastEngine:
         self.table = GroupTable()
 
         # statistics
-        self.retransmissions = 0
         self.duplicates_dropped = 0
         self.out_of_order_dropped = 0
         self.no_token_dropped = 0
@@ -141,12 +140,16 @@ class McastEngine:
             record = group.window.get(seq)
             if record is None or cmd.child not in record.unacked:
                 continue
-            self.reliability.arm(group, record)
             if m is not None:
                 m.inc("mcast.recovery.replays")
             yield from self.reliability.retransmit(
                 group, record, cmd.child, replay=True
             )
+
+    @property
+    def retransmissions(self) -> int:
+        """Laggard resends by this node's timeout sweeps."""
+        return self.reliability.retransmissions
 
     def install_group_now(self, state: GroupState) -> None:
         """Zero-cost install (experiment setup before time starts)."""

@@ -10,9 +10,11 @@ destinations which have not acknowledged" (paper §5).
 
 The mechanics — send window, per-window timer, Go-back-N sweep — come
 from :mod:`repro.proto`; this module binds them to multicast groups:
-the window is the group's record table, the sweep is the per-child
-*selective* Go-back-N, and retransmitted data is re-fetched from the
-(still registered) host replica.
+the window is the group's record table, the sweep is the engine
+family's per-child Go-back-N
+(:meth:`~repro.proto.engines.base.SenderEngine.on_timeout`), and
+retransmitted data is re-fetched from the (still registered) host
+replica.
 
 Since the reliability-engine refactor this component is also the
 **transport adapter** behind the pluggable families of
@@ -20,8 +22,9 @@ Since the reliability-engine refactor this component is also the
 (``group.reliability_family``), and this class dispatches gap reports
 (MCAST_NACK) and repair/regeneration work to the family's sender
 engine while exposing the wire-level helpers (group acks, NACKs,
-retransmission staging, record regeneration, packet injection) the
-engines drive.  The receive-side hooks are dispatched by
+retransmission staging, record regeneration, packet injection) and
+the sweep's counter and escalation message that the engines drive.
+The receive-side hooks are dispatched by
 :class:`~repro.mcast.forward.Forwarding`.
 """
 
@@ -33,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Generator
 from repro.net.packet import GM_HEADER_BYTES, Packet, PacketType, make_packet
 from repro.nic.descriptor import PacketDescriptor
 from repro.nic.lanai import TX_PRIO_ACK, TX_PRIO_DATA
-from repro.proto import NEVER, RetransmitTimer, SelectiveGoBackN, send_ack
+from repro.proto import NEVER, RetransmitTimer, send_ack
 from repro.proto.engines import get_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,39 +76,6 @@ class McastRecord:
     trace_id: int = -1
 
 
-class _McastSelectiveGoBackN(SelectiveGoBackN):
-    """The paper's per-child Go-back-N, bound to one node's engine."""
-
-    __slots__ = ("rel",)
-
-    def __init__(self, rel: "McastReliability"):
-        self.rel = rel
-
-    @property
-    def max_retransmits(self) -> int:
-        return self.rel.cost.max_retransmits
-
-    def count(self, record: McastRecord, *, child: int, group: "GroupState") -> None:
-        self.rel.engine.retransmissions += 1
-        m = self.rel.sim.metrics
-        if m is not None:
-            m.inc("mcast.laggard_resends")
-
-    def unreachable(self, record: McastRecord, *, child: int, group: "GroupState") -> str:
-        return (
-            f"{self.rel.nic.name}: multicast packet seq={record.seq} "
-            f"group={group.group_id} retransmitted "
-            f"{record.retransmits} times to child {child} — "
-            "peer unreachable"
-        )
-
-    def rearm(self, record: McastRecord, *, group: "GroupState") -> None:
-        self.rel.arm(group, record)
-
-    def resend(self, record: McastRecord, *, child: int, group: "GroupState") -> Generator:
-        yield from self.rel.retransmit(group, record, child)
-
-
 class McastReliability:
     """Ack handling and per-child Go-back-N for one node's groups.
 
@@ -114,13 +84,17 @@ class McastReliability:
     plumbing, packet construction, and statistics.
     """
 
+    #: metric counting laggard resends (the engine sweep's adapter hook)
+    retransmit_counter = "mcast.laggard_resends"
+
     def __init__(self, engine: "McastEngine"):
         self.engine = engine
         self.nic = engine.nic
         self.sim = engine.sim
         self.cost = engine.cost
         self.table = engine.table
-        self.policy = _McastSelectiveGoBackN(self)
+        #: laggard resends by this node's timeout sweeps
+        self.retransmissions = 0
         #: family name -> (sender, receiver) engine pair for this node.
         #: Engines are stateless per instance (per-group state lives in
         #: ``group.rel_state``), so one pair per family suffices.
@@ -268,8 +242,8 @@ class McastReliability:
         timer.arm(record)
 
     def _expired(self, group: "GroupState", record: McastRecord) -> None:
-        """The group's oldest unacked record timed out: start the
-        selective Go-back-N sweep toward the laggard children."""
+        """The group's oldest unacked record timed out: start the sender
+        engine's per-laggard Go-back-N sweep."""
         m = self.sim.metrics
         if m is not None:
             m.inc("proto.retransmit_timeouts")
@@ -278,8 +252,19 @@ class McastReliability:
             seq=record.seq, unacked=sorted(record.unacked),
         )
         self.sim.process(
-            self.policy.sweep(group.window, record.seq, group=group),
+            self.sender_engine(group).on_timeout(group, record.seq),
             name=f"{self.nic.name}.mcast_gbn",
+        )
+
+    def unreachable(
+        self, group: "GroupState", record: McastRecord, child: int
+    ) -> str:
+        """Escalation message once ``max_retransmits`` is exceeded."""
+        return (
+            f"{self.nic.name}: multicast packet seq={record.seq} "
+            f"group={group.group_id} retransmitted "
+            f"{record.retransmits} times to child {child} — "
+            "peer unreachable"
         )
 
     # -- regraft resync ----------------------------------------------------
@@ -311,7 +296,6 @@ class McastReliability:
                 if group.child_acked.get(child, 0) >= seq:
                     continue
                 record.unacked.add(child)
-                self.arm(group, record)
                 if m is not None:
                     m.inc("mcast.recovery.replays")
                 yield from self.retransmit(
@@ -362,12 +346,14 @@ class McastReliability:
     ) -> Generator:
         """Stage one retransmission to one child from host memory.
 
+        The record's clock re-arms first, before the resend goes out.
         Data is re-fetched from (still registered) host memory — the
         receive buffer was released when forwarding completed.
         *replay* marks recovery resyncs (regraft / explicit replay), so
         the flight recorder can attribute the wait to ``recovery_gap``
         rather than ``retransmit_wait``.
         """
+        self.arm(group, record)
         buf = yield self.nic.send_buffers.acquire()
         yield from self.nic.dma(record.payload + GM_HEADER_BYTES)
         yield from self.nic.processing(self.cost.nic_per_packet_send)

@@ -15,11 +15,12 @@ child array.  This package implements that machinery exactly once:
   outstanding, tracking per-record deadlines and lazily rescheduling,
   where the previous per-record ``call_at(lambda …)`` pattern left a
   dead closure in the heap for every (re)arm;
-* :class:`RetransmitPolicy` and its concrete strategies
-  (:class:`GoBackN` for unicast, :class:`SelectiveGoBackN` for
-  one-to-many windows) — what gets resent once the oldest unacked
-  record expires.  A new strategy (selective repeat, adaptive backoff)
-  is a new policy class, not another copy of the sweep loop;
+* the reliability families of :mod:`repro.proto.engines` — what gets
+  resent once the oldest unacked record expires.  The one per-laggard
+  Go-back-N sweep is :meth:`SenderEngine.on_timeout
+  <repro.proto.engines.base.SenderEngine.on_timeout>`; GM unicast is
+  its one-child case.  A new strategy (selective repeat, adaptive
+  backoff) is a new family, not another copy of the sweep loop;
 * :func:`send_ack` / :func:`build_ack_packet` — the single cumulative
   ack builder behind both the GM ACK and the multicast MCAST_ACK.
 
@@ -29,17 +30,13 @@ import anything from ``repro.gm`` or ``repro.mcast`` — the import-
 layering CI check (`tools/check_layering.py`) enforces this.
 """
 
-from repro.proto.policy import GoBackN, RetransmitPolicy, SelectiveGoBackN
 from repro.proto.timer import RetransmitTimer
 from repro.proto.window import NEVER, SendWindow
 from repro.proto.wire import build_ack_packet, send_ack
 
 __all__ = [
-    "GoBackN",
     "NEVER",
-    "RetransmitPolicy",
     "RetransmitTimer",
-    "SelectiveGoBackN",
     "SendWindow",
     "build_ack_packet",
     "send_ack",

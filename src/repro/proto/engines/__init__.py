@@ -7,9 +7,9 @@ registry, mirroring the multicast scheme registry
 (:mod:`repro.mcast.schemes`): each family is a
 (:class:`~repro.proto.engines.base.SenderEngine`,
 :class:`~repro.proto.engines.base.ReceiverEngine`) class pair registered
-under a name, and the transports above (the GM unicast engine, the
-multicast reliability component) select a family *by name* and drive it
-only through the base-class hooks.
+under a name.  The multicast reliability component selects a family
+*by name* per group, the GM unicast engine always runs ``ack_window``,
+and both drive it only through the base-class hooks.
 
 Families shipped here:
 
@@ -18,12 +18,14 @@ Families shipped here:
     cumulatively on every accept, senders retire records from the ack
     stream and sweep Go-back-N on timeout.  The hooks are pure
     decisions — porting the existing path onto them is byte-identical.
+    It is also the family behind GM unicast.
 ``nack``
     Receiver-detected gaps: receivers accept out of order, report
     missing sequences to the parent on a jittered suppression timer
     (avoiding NACK implosion at high fan-out), and the sender multicasts
     repairs to every laggard child.  Acks become rare (message
-    boundaries and duplicates only).
+    boundaries and duplicates only); the inherited Go-back-N sweep
+    survives as the fallback for total loss.
 ``nack_fec``
     ``nack`` plus sender-emitted XOR parity over ``fec_block``-packet
     groups: a receiver missing exactly one packet of a block
@@ -47,7 +49,6 @@ __all__ = [
     "available_engines",
     "get_engine",
     "register_engine",
-    "unicast_engines",
     "ReceiverEngine",
     "SenderEngine",
 ]
@@ -61,9 +62,6 @@ class EngineFamily:
     title: str
     sender_cls: type
     receiver_cls: type
-    #: whether the family can drive the GM *unicast* path (the paper's
-    #: ack-window protocol is; the multicast-repair families are not)
-    unicast: bool = False
     #: default values for every tunable the family understands; a
     #: group's ``reliability_params`` override per key
     defaults: dict[str, Any] = field(default_factory=dict)
@@ -85,13 +83,6 @@ def register_engine(family: EngineFamily) -> EngineFamily:
 def available_engines() -> tuple[str, ...]:
     """All registered family names, sorted."""
     return tuple(sorted(_REGISTRY))
-
-
-def unicast_engines() -> tuple[str, ...]:
-    """The family names capable of driving GM unicast, sorted."""
-    return tuple(
-        sorted(name for name, f in _REGISTRY.items() if f.unicast)
-    )
 
 
 def get_engine(name: str) -> EngineFamily:

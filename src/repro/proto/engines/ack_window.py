@@ -8,8 +8,9 @@ or a single state write — zero simulated events — so the transport's
 inline cost/ack sequence (and therefore the golden traces) is
 byte-identical to the pre-refactor code.
 
-This is the only family capable of driving GM *unicast*: the hooks only
-touch ``recv_seq``, which a GM ``Connection`` has too.
+This is the family that drives GM *unicast*: the receiver hooks only
+touch ``recv_seq``, which a GM ``Connection`` has too, and the sender's
+timeout sweep runs on the connection's one child, the peer.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class AckWindowReceiver(ReceiverEngine):
 
 
 class AckWindowSender(SenderEngine):
-    """Sender side is entirely the transport's timeout sweep; every
+    """Sender side is entirely the inherited timeout sweep; every other
     hook keeps its zero-event default."""
 
     __slots__ = ()
@@ -54,5 +55,4 @@ register_engine(EngineFamily(
     title="Cumulative ACK window + Go-back-N (paper §4/§5)",
     sender_cls=AckWindowSender,
     receiver_cls=AckWindowReceiver,
-    unicast=True,
 ))

@@ -13,28 +13,42 @@ adapter must expose:
 ``cost``
     the GM cost model (timings such as ``ack_timeout`` and
     ``nic_per_packet_send``);
-``arm(group, record)``
-    (re)start a record's clock on the group's fallback retransmission
-    timer;
+``retransmit(group, record, child)``
+    coroutine: put one record back on the wire toward one child,
+    re-arming its clock at the transport's own point (multicast before
+    the resend, GM unicast after the send DMA); multicast also accepts
+    ``replay=True`` to mark recovery resyncs;
+``retransmissions`` / ``retransmit_counter``
+    the adapter's resend statistic and the metric name that counts
+    sweep resends (``proto.retransmits`` or ``mcast.laggard_resends``);
+``unreachable(group, record, child)``
+    the "peer unreachable" message raised once a record exceeds
+    ``cost.max_retransmits``;
 ``send_group_ack(group)``
     coroutine: cumulative ack of ``group.recv_seq`` to the parent;
 ``send_nack(group, gaps)``
     coroutine: gap report to the parent (NACK families);
-``retransmit(group, record, child, replay=False)``
-    coroutine: stage one repair transmission to one child;
 ``regenerate_record(group, seq)``
     rebuild a retired send record from message metadata (or ``None``);
 ``inject_data(pkt)``
     coroutine: feed a locally reconstructed data packet back through
     the transport's ordinary receive path (FEC repair).
 
+Everything from ``send_group_ack`` down serves the multicast families
+only; the GM unicast transport supplies the entries above it.
+
 The *group* object handed to every hook carries the per-flow sequencing
 state: ``recv_seq``, ``next_send_seq``, ``children`` / ``child_acked``
 (one-to-many transports), the ``window``, and the two engine-facing
 fields ``reliability_family`` / ``reliability_params`` plus the
-engine-owned ``rel_state`` scratch dict.  The GM unicast transport hands
-a ``Connection`` instead — only ``recv_seq`` is touched by the one
-unicast-capable family, so the hooks work unchanged.
+engine-owned ``rel_state`` scratch dict.  Send records carry
+``retransmits`` and ``unacked`` (the children still owing an ack).
+
+The GM unicast transport drives the ``ack_window`` pair and hands a
+``Connection`` instead: its one child is the peer (a GM record's
+``unacked`` is just its ``dst``), so the receiver hooks touch only
+``recv_seq`` and plain Go-back-N is the one-child case of
+:meth:`SenderEngine.on_timeout`.
 
 Hook purity contract: for the ``ack_window`` family every receiver hook
 is a pure decision or state write — **zero simulated events** — which is
@@ -46,6 +60,8 @@ from their hooks.
 from __future__ import annotations
 
 from typing import Any, Generator
+
+from repro.errors import ReproError
 
 __all__ = ["ReceiverEngine", "SenderEngine"]
 
@@ -106,9 +122,43 @@ class ReceiverEngine(_EngineHalf):
 
 
 class SenderEngine(_EngineHalf):
-    """Send-side policy: repair triggering and replay regeneration."""
+    """Send-side policy: timeout sweeps, repair triggering and replay
+    regeneration."""
 
     __slots__ = ()
+
+    def on_timeout(self, group: Any, from_seq: int) -> Generator:
+        """Coroutine: per-laggard Go-back-N from the expired record.
+
+        The one retransmission sweep (paper §4/§5): the record at
+        *from_seq* and every later one are resent, "only for the
+        destinations which have not acknowledged" — grouped by child in
+        ascending order so each laggard's recovery stream stays in
+        sequence order.  The window is snapshotted once; a record acked
+        while earlier resends were going out is skipped.  Each attempt
+        is counted, and one past ``max_retransmits`` escalates with the
+        transport's "peer unreachable" diagnosis.  The NACK families
+        inherit this as their fallback.
+        """
+        t = self.transport
+        window = group.window
+        seqs = [seq for seq in window.seqs() if seq >= from_seq]
+        laggards = {
+            child for seq in seqs for child in window.records[seq].unacked
+        }
+        for child in sorted(laggards):
+            for seq in seqs:
+                record = window.get(seq)
+                if record is None or child not in record.unacked:
+                    continue
+                record.retransmits += 1
+                t.retransmissions += 1
+                m = t.sim.metrics
+                if m is not None:
+                    m.inc(t.retransmit_counter)
+                if record.retransmits > t.cost.max_retransmits:
+                    raise ReproError(t.unreachable(group, record, child))
+                yield from t.retransmit(group, record, child)
 
     def on_data_queued(self, group: Any, record: Any) -> None:
         """A data packet for *record* was queued for the wire.

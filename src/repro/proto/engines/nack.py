@@ -297,7 +297,6 @@ class NackSender(SenderEngine):
                 if group.child_acked.get(c, 0) >= seq:
                     continue
                 record.unacked.add(c)
-                t.arm(group, record)
                 yield from t.retransmit(group, record, c)
 
     def fallback_timeout(self, group: Any, cost: Any) -> float:
