@@ -73,13 +73,18 @@ class GMPort:
         self.cost = engine.cost
         self.port_num = port_num
         self.owner = owner
-        cost = self.cost
-        self._free_send_tokens: list[SendToken] = [
-            SendToken(port_num) for _ in range(cost.send_tokens_per_port)
-        ]
+        # Both token pools are created on first use.  Send tokens:
+        # returned ones are reused LIFO, and ``_fresh_send`` counts the
+        # ones never handed out.
+        self._free_send_tokens: list[SendToken] = []
+        self._fresh_send = self.cost.send_tokens_per_port
         # deque: tokens are claimed FIFO once per received message and
         # 64 are preposted per port, so list.pop(0) shifting adds up.
         self._recv_tokens: deque[ReceiveToken] = deque()
+        #: Zero-size preposted receive tokens not yet created.  They sit
+        #: at the head of the queue, so ``_recv_tokens`` only fills once
+        #: this is zero.
+        self._preposted = 0
         self.event_queue: Store = Store(
             self.sim, name=f"port{engine.nic.id}.{port_num}.events"
         )
@@ -100,17 +105,42 @@ class GMPort:
     # -- token pools (engine-facing) --------------------------------------------
     @property
     def free_send_tokens(self) -> int:
-        return len(self._free_send_tokens)
+        return len(self._free_send_tokens) + self._fresh_send
 
     @property
     def free_recv_tokens(self) -> int:
-        return len(self._recv_tokens)
+        return len(self._recv_tokens) + self._preposted
+
+    def take_send_token(self) -> SendToken:
+        """Host side: claim a free send token, or raise
+        :class:`TokenExhausted` (GM's behaviour when none is left)."""
+        if self._free_send_tokens:
+            return self._free_send_tokens.pop()
+        if self._fresh_send:
+            self._fresh_send -= 1
+            return SendToken(self.port_num)
+        raise TokenExhausted(
+            f"port {self.nic.id}:{self.port_num} has no free send tokens"
+        )
 
     def take_recv_token(self) -> ReceiveToken | None:
         """NIC side: claim a preposted receive buffer, if any."""
-        if not self._recv_tokens:
-            return None
-        return self._recv_tokens.popleft()
+        if self._recv_tokens:
+            return self._recv_tokens.popleft()
+        if self._preposted:
+            self._preposted -= 1
+            return ReceiveToken(self.port_num)
+        return None
+
+    def prepost(self, count: int) -> None:
+        """Set-up only: loan the NIC *count* zero-size receive buffers at
+        no host cost.  Each is created when the NIC claims it."""
+        if self._recv_tokens:  # queue behind the buffers already posted
+            self._recv_tokens.extend(
+                ReceiveToken(self.port_num) for _ in range(count)
+            )
+        else:
+            self._preposted += count
 
     def return_recv_token(self, token: ReceiveToken) -> None:
         """NIC side: a transformed token's duties are over — it is consumed
@@ -147,11 +177,7 @@ class GMPort:
         self._check_owner(caller)
         if size < 0:
             raise ValueError(f"negative send size {size}")
-        if not self._free_send_tokens:
-            raise TokenExhausted(
-                f"port {self.nic.id}:{self.port_num} has no free send tokens"
-            )
-        token = self._free_send_tokens.pop()
+        token = self.take_send_token()
         token.arm(dst, dst_port, size, region)
         if info is not None:
             token.context["info"] = info
@@ -174,10 +200,14 @@ class GMPort:
         if count < 1:
             raise ValueError("count must be >= 1")
         yield self.sim.timeout(self.cost.host_recv_post * count)
-        for _ in range(count):
-            self._recv_tokens.append(
-                ReceiveToken(self.port_num, size=size or 0)
+        if self._preposted:  # create them now so they stay ahead of these
+            self._recv_tokens.extend(
+                ReceiveToken(self.port_num) for _ in range(self._preposted)
             )
+            self._preposted = 0
+        self._recv_tokens.extend(
+            ReceiveToken(self.port_num, size=size or 0) for _ in range(count)
+        )
 
     def receive(self, caller: Any = None) -> Generator[SimEvent, Any, RecvCompletion]:
         """Block until the next message arrives on this port."""

@@ -174,15 +174,10 @@ class McastEngine:
         Usage from a host program: ``handle = yield from
         node.mcast.multicast_send(port, gid, nbytes)``.
         """
-        from repro.errors import TokenExhausted
         from repro.gm.api import SendHandle
 
         port._check_owner(caller)
-        if not port._free_send_tokens:
-            raise TokenExhausted(
-                f"port {self.nic.id}:{port.port_num} has no free send tokens"
-            )
-        token: SendToken = port._free_send_tokens.pop()
+        token: SendToken = port.take_send_token()
         token.arm(dst=-1, dst_port=port.port_num, size=size)
         if info is not None:
             token.context["info"] = info

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator
 
-from repro.errors import TokenExhausted
 from repro.gm.api import SendHandle
 from repro.gm.protocol import SendRecord
 from repro.gm.tokens import SendToken
@@ -157,11 +156,7 @@ def nic_assisted_multisend(
 ) -> Generator[Any, Any, SendHandle]:
     """Host call: one multidestination send (costs one send token)."""
     port._check_owner(caller)
-    if not port._free_send_tokens:
-        raise TokenExhausted(
-            f"port {node.id}:{port.port_num} has no free send tokens"
-        )
-    token = port._free_send_tokens.pop()
+    token = port.take_send_token()
     token.arm(dst=-1, dst_port=port.port_num, size=size)
     if info is not None:
         token.context["info"] = info

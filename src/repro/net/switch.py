@@ -33,7 +33,7 @@ class CrossbarSwitch:
     can validate wiring and experiments can introspect the fabric.
     """
 
-    __slots__ = ("switch_id", "radix", "hop_latency", "_peers")
+    __slots__ = ("switch_id", "radix", "hop_latency", "_peers", "_lowest_free")
 
     def __init__(self, switch_id: int, radix: int, hop_latency: float):
         if radix < 2:
@@ -44,6 +44,9 @@ class CrossbarSwitch:
         self.radix = radix
         self.hop_latency = hop_latency
         self._peers: dict[int, PortRef] = {}
+        #: No port below this index is free.  Ports are never unwired,
+        #: so the lowest free port only moves up.
+        self._lowest_free = 0
 
     @property
     def ports_used(self) -> int:
@@ -52,6 +55,18 @@ class CrossbarSwitch:
     @property
     def free_ports(self) -> list[int]:
         return [p for p in range(self.radix) if p not in self._peers]
+
+    def first_free_port(self) -> int | None:
+        """The lowest unwired port, or ``None`` when the switch is full.
+
+        Amortised O(1) over a switch's wiring: the scan resumes where
+        the last one stopped.
+        """
+        port = self._lowest_free
+        while port in self._peers:
+            port += 1
+        self._lowest_free = port
+        return port if port < self.radix else None
 
     def attach(self, port: int, peer: PortRef) -> None:
         """Wire *port* to *peer* (a NIC id or another switch's port)."""

@@ -3,17 +3,17 @@
 The paper's testbed connects 16 nodes through a Myrinet-2000 network whose
 default hardware topology is a Clos network; at 16 nodes that is a single
 crossbar.  Builders here produce single-switch, two-level Clos, line, and
-arbitrary (networkx-graph) fabrics; routes are shortest paths computed once
-and cached (Myrinet is source-routed, so routes are static per pair).
+arbitrary (NIC placement + switch edge list) fabrics.  The topology's one
+adjacency is its link table; routes are shortest paths found on it by a
+bidirectional breadth-first search, computed once per pair and cached
+(Myrinet is source-routed, so routes are static per pair).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, KeysView
 
 import zlib
-
-import networkx as nx
 
 from repro.errors import ConfigError, RoutingError
 from repro.net.link import Link
@@ -31,8 +31,9 @@ _SWITCH = "switch"
 class Topology:
     """A wired fabric: switches, NIC attachment points, directed links.
 
-    Nodes of the internal graph are ``("nic", i)`` or ``("switch", s)``.
-    Every physical cable is two directed :class:`Link` objects.  Routes are
+    Graph nodes are ``("nic", i)`` or ``("switch", s)``.  Every physical
+    cable is two directed :class:`Link` objects, held in the link table
+    ``{tail: {head: Link}}`` — the topology's only adjacency.  Routes are
     link-lists from source NIC to destination NIC, memoized.
     """
 
@@ -53,9 +54,14 @@ class Topology:
         self.link_latency = link_latency
         self.hop_latency = hop_latency
         self.name = name
-        self.graph = nx.Graph()
         self.switches: list[CrossbarSwitch] = []
-        #: directed links keyed by (graph-node, graph-node)
+        #: The link table: ``{tail: {head: Link}}`` over graph nodes, in
+        #: wiring order.  Cables are full duplex and fail as a pair, so
+        #: it is symmetric in both its keys and its ``up`` flags.
+        self._adj: dict[tuple, dict[tuple, Link]] = {
+            (_NIC, i): {} for i in range(n_nodes)
+        }
+        #: the same directed links keyed by (graph-node, graph-node)
         self._links: dict[tuple, Link] = {}
         self._route_cache: dict[tuple[int, int], list[Link]] = {}
         self._latency_cache: dict[tuple[int, int], float] = {}
@@ -73,24 +79,21 @@ class Topology:
         self._down_edges: set[tuple] = set()
         self._down_switches: set[int] = set()
         self._cables: list[tuple] | None = None
-        for i in range(n_nodes):
-            self.graph.add_node((_NIC, i))
 
     # -- construction ------------------------------------------------------
     def add_switch(self, radix: int) -> CrossbarSwitch:
         sw = CrossbarSwitch(len(self.switches), radix, self.hop_latency)
         self.switches.append(sw)
-        self.graph.add_node((_SWITCH, sw.switch_id))
+        self._adj[(_SWITCH, sw.switch_id)] = {}
         return sw
 
     def cable(self, a: tuple, b: tuple) -> None:
         """Run a full-duplex cable between graph nodes *a* and *b*."""
         for endpoint in (a, b):
-            if endpoint not in self.graph:
+            if endpoint not in self._adj:
                 raise ConfigError(f"unknown endpoint {endpoint!r}")
-        if self.graph.has_edge(a, b):
+        if b in self._adj[a]:
             raise ConfigError(f"duplicate cable {a!r} <-> {b!r}")
-        self.graph.add_edge(a, b)
         # A new cable can shorten existing shortest paths: memoized
         # routes and latency sums are stale the moment the graph grows.
         self._route_cache.clear()
@@ -103,23 +106,27 @@ class Topology:
             latency = self.link_latency
             if v[0] == _SWITCH:
                 latency += self.hop_latency
-            self._links[(u, v)] = Link(
+            self._links[(u, v)] = self._adj[u][v] = Link(
                 self.sim,
                 self.bandwidth,
                 latency,
                 name=f"{u}->{v}",
             )
 
+    def neighbors(self, node: tuple) -> KeysView[tuple]:
+        """Graph nodes cabled to *node*, in wiring order (a live view)."""
+        return self._adj[node].keys()
+
     def wire_nic_to_switch(self, nic_id: int, switch: CrossbarSwitch) -> None:
-        port = switch.free_ports[0] if switch.free_ports else None
+        port = switch.first_free_port()
         if port is None:
             raise ConfigError(f"switch {switch.switch_id} is full")
         switch.attach(port, PortRef(nic_id, 0))
         self.cable((_NIC, nic_id), (_SWITCH, switch.switch_id))
 
     def wire_switches(self, a: CrossbarSwitch, b: CrossbarSwitch) -> None:
-        pa = a.free_ports[0] if a.free_ports else None
-        pb = b.free_ports[0] if b.free_ports else None
+        pa = a.first_free_port()
+        pb = b.first_free_port()
         if pa is None or pb is None:
             raise ConfigError("no free ports for inter-switch cable")
         a.attach(pa, PortRef(b, pb))
@@ -136,7 +143,7 @@ class Topology:
         """
         if self._cables is None:
             self._cables = sorted(
-                tuple(sorted(edge)) for edge in self.graph.edges
+                edge for edge in self._links if edge[0] <= edge[1]
             )
         return self._cables
 
@@ -201,22 +208,51 @@ class Topology:
 
     def has_path(self, src: int, dst: int) -> bool:
         """Whether a live route exists between two NICs right now."""
-        if src == dst:
+        if src == dst or (src, dst) in self._route_cache:
             return True
-        try:
-            return nx.has_path(self._live_graph(), (_NIC, src), (_NIC, dst))
-        except nx.NodeNotFound:
+        if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):
             return False
+        return bool(self._search((_NIC, src), (_NIC, dst))[2])
 
-    def _live_graph(self) -> "nx.Graph":
-        """The graph restricted to live switches and cables."""
-        if not self._down_edges and not self._down_switches:
-            return self.graph
-        return nx.restricted_view(
-            self.graph,
-            [(_SWITCH, s) for s in self._down_switches],
-            list(self._down_edges),
-        )
+    def _search(self, src: tuple, dst: tuple) -> tuple[dict, dict, list]:
+        """Bidirectional layer-by-layer search over the live link table.
+
+        Each round grows the smaller frontier by one whole layer,
+        recording every parent a node has in the previous layer, and the
+        search stops at the first layer that touches the other side.
+        Returns ``(fwd, bwd, meet)``: parent maps toward *src* and toward
+        *dst* (roots map to ``()``), and the nodes where they met — every
+        shortest path crosses exactly one of them.  ``meet`` is empty
+        when no live path exists.  Down links are skipped; the table is
+        symmetric, so the backward search walks it the same way.
+        """
+        adj = self._adj
+        fwd: dict[tuple, list | tuple] = {src: ()}
+        bwd: dict[tuple, list | tuple] = {dst: ()}
+        f_front, b_front = [src], [dst]
+        while f_front and b_front:
+            grow_fwd = len(f_front) <= len(b_front)
+            front, seen, other = (
+                (f_front, fwd, bwd) if grow_fwd else (b_front, bwd, fwd)
+            )
+            layer: dict[tuple, list] = {}
+            for u in front:
+                for v, link in adj[u].items():
+                    if link.up and v not in seen:
+                        parents = layer.get(v)
+                        if parents is None:
+                            layer[v] = [u]
+                        else:
+                            parents.append(u)
+            seen.update(layer)
+            meet = [v for v in layer if v in other]
+            if meet:
+                return fwd, bwd, meet
+            if grow_fwd:
+                f_front = list(layer)
+            else:
+                b_front = list(layer)
+        return fwd, bwd, []
 
     # -- routing -------------------------------------------------------------
     def route(self, src: int, dst: int) -> list[Link]:
@@ -236,14 +272,15 @@ class Topology:
         for nic in (src, dst):
             if not 0 <= nic < self.n_nodes:
                 raise RoutingError(f"unknown NIC id {nic}")
-        try:
-            paths = list(
-                nx.all_shortest_paths(
-                    self._live_graph(), (_NIC, src), (_NIC, dst)
-                )
+        fwd, bwd, meet = self._search((_NIC, src), (_NIC, dst))
+        if not meet:
+            raise RoutingError(f"no path from NIC {src} to NIC {dst}")
+        paths = []
+        for v in meet:
+            tails = _chains(bwd, v)
+            paths.extend(
+                head[::-1] + tail[1:] for head in _chains(fwd, v) for tail in tails
             )
-        except nx.NetworkXNoPath as exc:
-            raise RoutingError(f"no path from NIC {src} to NIC {dst}") from exc
         # Myrinet source routes are computed once and dispersed across
         # equal-cost paths (spine switches in a Clos); pick one
         # deterministically per pair so traffic does not funnel through
@@ -291,6 +328,19 @@ class Topology:
             f"<Topology {self.name!r} nodes={self.n_nodes} "
             f"switches={len(self.switches)} links={len(self._links)}>"
         )
+
+
+def _chains(parents: dict, node: tuple) -> list[list[tuple]]:
+    """Every parent chain from *node* back to the search root, node first."""
+    done, open_chains = [], [[node]]
+    while open_chains:
+        chain = open_chains.pop()
+        heads = parents[chain[-1]]
+        if heads:
+            open_chains.extend(chain + [p] for p in heads)
+        else:
+            done.append(chain)
+    return done
 
 
 def single_switch(

@@ -38,7 +38,13 @@ class SRAMBuffer:
 
 
 class BufferPool:
-    """A fixed set of SRAM buffers with blocking and non-blocking acquire."""
+    """A fixed set of SRAM buffers with blocking and non-blocking acquire.
+
+    Buffers are created on first use: ``_fresh`` counts the ones never
+    handed out, and they are issued at indices ``size-1`` downward
+    before released buffers are reused last-in first-out — the order an
+    eagerly filled free list would give.
+    """
 
     def __init__(self, sim: "Simulator", size: int, name: str = "pool"):
         if size < 1:
@@ -46,7 +52,9 @@ class BufferPool:
         self.sim = sim
         self.size = size
         self.name = name
-        self._free: list[SRAMBuffer] = [SRAMBuffer(self, i) for i in range(size)]
+        #: released buffers, reused LIFO
+        self._free: list[SRAMBuffer] = []
+        self._fresh = size
         self._waiters: list[SimEvent] = []
         #: How many acquires found the pool empty (overrun statistics).
         self.misses = 0
@@ -55,11 +63,16 @@ class BufferPool:
 
     @property
     def free(self) -> int:
-        return len(self._free)
+        return len(self._free) + self._fresh
 
     @property
     def in_use(self) -> int:
-        return self.size - len(self._free)
+        return self.size - len(self._free) - self._fresh
+
+    def _mint(self) -> SRAMBuffer:
+        """Create the next never-used buffer (caller checked ``_fresh``)."""
+        self._fresh -= 1
+        return SRAMBuffer(self, self._fresh)
 
     def try_acquire(self) -> SRAMBuffer | None:
         """Take a buffer now, or ``None`` if the pool is empty.
@@ -67,10 +80,13 @@ class BufferPool:
         Used on the wire-receive path, where a NIC with no free buffer
         simply cannot latch the incoming packet.
         """
-        if not self._free:
+        if self._free:
+            buf = self._free.pop()
+        elif self._fresh:
+            buf = self._mint()
+        else:
             self.misses += 1
             return None
-        buf = self._free.pop()
         buf.in_use = True
         self.max_in_use = max(self.max_in_use, self.in_use)
         return buf
@@ -83,13 +99,19 @@ class BufferPool:
         does not.
         """
         ev = self.sim.event(name=f"{self.name}.acquire")
-        if self._free and not self._waiters:
+        # Waiters queue only while no buffer is free, and a release hands
+        # its buffer straight to the first waiter, so a free buffer means
+        # nobody is waiting.
+        if self._free:
             buf = self._free.pop()
-            buf.in_use = True
-            self.max_in_use = max(self.max_in_use, self.in_use)
-            ev.succeed(buf)
+        elif self._fresh:
+            buf = self._mint()
         else:
             self._waiters.append(ev)
+            return ev
+        buf.in_use = True
+        self.max_in_use = max(self.max_in_use, self.in_use)
+        ev.succeed(buf)
         return ev
 
     def release(self, buf: SRAMBuffer) -> None:

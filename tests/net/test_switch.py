@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.net.link import Link
 from repro.net.switch import CrossbarSwitch, PortRef
+from repro.net.topology import Topology
 from repro.sim import Simulator
 
 
@@ -54,6 +56,29 @@ class TestCrossbarSwitch:
         peers = sw.peers()
         peers[2] = "tampered"
         assert 2 not in sw.peers()
+
+    def test_first_free_port_after_out_of_order_attach(self):
+        sw = CrossbarSwitch(0, radix=4, hop_latency=0.3)
+        sw.attach(0, PortRef(1, 0))
+        sw.attach(2, PortRef(2, 0))
+        assert sw.first_free_port() == 1 == sw.free_ports[0]
+        sw.attach(1, PortRef(3, 0))
+        assert sw.first_free_port() == 3 == sw.free_ports[0]
+        sw.attach(3, PortRef(4, 0))
+        assert sw.first_free_port() is None
+        assert sw.free_ports == []
+
+    def test_full_switch_rejects_wiring(self):
+        topo = Topology(Simulator(), 3, 250.0, 0.1, 0.2)
+        a = topo.add_switch(radix=2)
+        b = topo.add_switch(radix=2)
+        topo.wire_nic_to_switch(0, a)
+        topo.wire_nic_to_switch(1, a)
+        with pytest.raises(ConfigError, match="switch 0 is full"):
+            topo.wire_nic_to_switch(2, a)
+        with pytest.raises(ConfigError, match="no free ports"):
+            topo.wire_switches(a, b)
+        assert a.ports_used == 2 and b.ports_used == 0
 
 
 class TestLink:

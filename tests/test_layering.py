@@ -119,3 +119,30 @@ def test_obs_type_checking_import_allowed(tmp_path):
     mod.SRC = src
     mod.REPO = tmp_path
     assert mod.check_obs_back_edges() == []
+
+
+def test_no_runtime_networkx_under_src(tmp_path):
+    """networkx is a test dependency: src/repro may name it only for
+    type checking."""
+    mod = _load_checker()
+    src = tmp_path / "src" / "repro"
+    (src / "net").mkdir(parents=True)
+    (src / "net" / "bad.py").write_text(
+        "def route():\n"
+        "    import networkx as nx\n"
+    )
+    (src / "net" / "bad_from.py").write_text(
+        "from networkx.algorithms import shortest_paths\n"
+    )
+    (src / "net" / "ok.py").write_text(
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    import networkx\n"
+    )
+    mod.SRC = src
+    mod.REPO = tmp_path
+
+    violations = mod.check_test_only_imports()
+    assert len(violations) == 2
+    assert all("networkx" in v for v in violations)
+    assert not any("ok.py" in v for v in violations)

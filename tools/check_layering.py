@@ -45,6 +45,9 @@ Three rules are load-bearing enough to gate CI on:
   subscribed from ``repro.mcast``, ``repro.scenario``, and
   ``repro.workload`` — failure *application* lives in ``repro.net``,
   failure *reaction* above the engines, and nothing else gets to peek.
+* nothing under ``src/repro`` imports a package listed in
+  ``TEST_ONLY_PACKAGES`` (networkx) at run time: the topology searches
+  its own link table, and networkx is only the route oracle in tests.
 
 Imports guarded by ``if TYPE_CHECKING:`` are ignored — annotations may
 name types from anywhere without creating a runtime dependency.
@@ -164,6 +167,25 @@ WORKLOAD_IMPORTERS = ("workload", "experiments", "perf", "obs")
 #: repro/net/failure.py itself defines the hook.
 SUBSCRIBE_ALLOWED = ("mcast", "scenario", "workload")
 SUBSCRIBE_ALLOWED_FILES = ("net/failure.py",)
+
+#: Third-party packages that are test dependencies only: no runtime
+#: import of them anywhere under ``src/repro``.
+TEST_ONLY_PACKAGES = ("networkx",)
+
+
+def check_test_only_imports() -> list[str]:
+    """No runtime import of a test-only package under ``src/repro``."""
+    violations = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, module in runtime_imports(tree):
+            if module.split(".")[0] in TEST_ONLY_PACKAGES:
+                rel = path.relative_to(REPO)
+                violations.append(
+                    f"{rel}:{lineno}: {module} is a test-only dependency "
+                    "and must not be imported at run time"
+                )
+    return violations
 
 
 def check_failure_subscribers() -> list[str]:
@@ -323,6 +345,7 @@ def main() -> int:
     violations.extend(check_scenario_back_edges())
     violations.extend(check_workload_back_edges())
     violations.extend(check_failure_subscribers())
+    violations.extend(check_test_only_imports())
     if violations:
         print("import layering violations:", file=sys.stderr)
         for v in violations:
@@ -331,7 +354,8 @@ def main() -> int:
     print(
         f"layering clean: {', '.join(ALLOWED)} respect their bounds; "
         "no repro.obs, repro.scenario, or repro.workload back-edges; "
-        "failure hooks subscribed only from sanctioned layers"
+        "failure hooks subscribed only from sanctioned layers; "
+        "no test-only packages imported at run time"
     )
     return 0
 
