@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any
 
+from repro.codec import Codec
 from repro.errors import ConfigError
 from repro.gm.params import GMCostModel
 from repro.net.failure import FailureSpec
@@ -16,14 +17,9 @@ __all__ = [
     "TOPOLOGIES",
     "KNOWN_EXTRAS",
     "register_extra_key",
-    "cost_to_dict",
-    "cost_from_dict",
 ]
 
 TOPOLOGIES = ("single", "clos", "line")
-
-#: Cost-model presets a serialized config may name.
-COST_PRESETS = ("lanai9", "fast_host", "slow_nic")
 
 #: Keys :attr:`ClusterConfig.extras` is allowed to carry without a
 #: warning.  Experiments that consume an extra register its key here (at
@@ -39,7 +35,7 @@ def register_extra_key(key: str) -> str:
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(Codec):
     """Everything needed to build a :class:`~repro.cluster.Cluster`.
 
     Attributes
@@ -125,75 +121,3 @@ class ClusterConfig:
                 "them (register_extra_key declares consumed keys)",
                 stacklevel=2,
             )
-
-    # -- serialization (for scenario specs) ---------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-ready dict carrying only non-default fields."""
-        out: dict[str, Any] = {}
-        default = type(self)(n_nodes=self.n_nodes)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "cost":
-                overrides = cost_to_dict(value)
-                if overrides:
-                    out["cost"] = overrides
-            elif f.name in ("loss", "failures"):
-                if value is not None:
-                    out[f.name] = value.to_dict()
-            elif f.name == "n_nodes" or value != getattr(default, f.name):
-                out[f.name] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ClusterConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"cluster config must be an object, got {data!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown cluster config keys: {', '.join(sorted(unknown))}"
-            )
-        kwargs = dict(data)
-        if "cost" in kwargs and not isinstance(kwargs["cost"], GMCostModel):
-            kwargs["cost"] = cost_from_dict(kwargs["cost"])
-        if "loss" in kwargs and kwargs["loss"] is not None and not isinstance(
-            kwargs["loss"], LossSpec
-        ):
-            kwargs["loss"] = LossSpec.from_dict(kwargs["loss"])
-        if (
-            "failures" in kwargs
-            and kwargs["failures"] is not None
-            and not isinstance(kwargs["failures"], FailureSpec)
-        ):
-            kwargs["failures"] = FailureSpec.from_dict(kwargs["failures"])
-        return cls(**kwargs)
-
-
-def cost_to_dict(cost: GMCostModel) -> dict[str, Any]:
-    """*cost* as overrides relative to the default preset (JSON-ready)."""
-    default = GMCostModel()
-    return {
-        f.name: getattr(cost, f.name)
-        for f in fields(GMCostModel)
-        if getattr(cost, f.name) != getattr(default, f.name)
-    }
-
-
-def cost_from_dict(data: dict[str, Any]) -> GMCostModel:
-    """Build a cost model from ``{"preset": ..., **overrides}``."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"cost model must be an object, got {data!r}")
-    data = dict(data)
-    preset = data.pop("preset", "lanai9")
-    if preset not in COST_PRESETS:
-        raise ConfigError(
-            f"unknown cost preset {preset!r}; pick one of {COST_PRESETS}"
-        )
-    known = {f.name for f in fields(GMCostModel)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown cost model fields: {', '.join(sorted(unknown))}"
-        )
-    return getattr(GMCostModel, preset)(**data)

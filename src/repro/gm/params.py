@@ -34,13 +34,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.codec import Codec
 from repro.errors import ConfigError
 
-__all__ = ["GMCostModel"]
+__all__ = ["COST_PRESETS", "GMCostModel"]
+
+#: Cost-model presets a serialized config may name (``"preset"`` key).
+COST_PRESETS = ("lanai9", "fast_host", "slow_nic")
 
 
 @dataclass(frozen=True)
-class GMCostModel:
+class GMCostModel(Codec):
     """Timing and sizing constants for the whole stack (µs, bytes, B/µs)."""
 
     # -- wire ---------------------------------------------------------------
@@ -205,6 +209,24 @@ class GMCostModel:
         )
         base.update(overrides)
         return cls(**base)
+
+    @classmethod
+    def from_dict(cls, data: Any, path: str = "") -> "GMCostModel":
+        """Decode ``{"preset": ..., **overrides}``: the decoded fields
+        override the named preset (default ``lanai9``).  :meth:`to_dict`
+        never writes a preset — its overrides are relative to the
+        defaults, which *are* ``lanai9``."""
+        preset = "lanai9"
+        if isinstance(data, dict) and "preset" in data:
+            data = dict(data)
+            preset = data.pop("preset")
+            if preset not in COST_PRESETS:
+                where = f" at {path}" if path else ""
+                raise ConfigError(
+                    f"unknown cost preset {preset!r}{where}; "
+                    f"pick one of {COST_PRESETS}"
+                )
+        return getattr(cls, preset)(**cls._decode_fields(data, path))
 
     def with_overrides(self, **overrides: Any) -> "GMCostModel":
         """A copy with the given fields replaced."""

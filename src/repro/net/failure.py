@@ -23,9 +23,10 @@ the identical instants — no cross-shard control traffic is needed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
+from repro.codec import Codec
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +55,7 @@ FAILURE_TARGETS = ("nic_links", "links", "switches")
 
 
 @dataclass(frozen=True)
-class FailureEvent:
+class FailureEvent(Codec):
     """One scheduled transition: at ``time_us``, apply ``action`` to
     ``target``."""
 
@@ -75,27 +76,9 @@ class FailureEvent:
         if self.target < 0:
             raise ConfigError(f"failure target must be >= 0, got {self.target}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "time_us": self.time_us,
-            "action": self.action,
-            "target": self.target,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FailureEvent":
-        if not isinstance(data, dict):
-            raise ConfigError(f"failure event must be an object, got {data!r}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(
-                f"unknown failure event keys: {', '.join(sorted(unknown))}"
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Codec):
     """Declarative, JSON-serializable failure schedule.
 
     ``scheduled`` carries explicit :class:`FailureEvent` entries.
@@ -130,15 +113,7 @@ class FailureSpec:
             raise ConfigError(
                 f"detect_us must be >= 0, got {self.detect_us}"
             )
-        object.__setattr__(
-            self,
-            "events",
-            tuple(
-                ev if isinstance(ev, FailureEvent)
-                else FailureEvent.from_dict(ev)
-                for ev in self.events
-            ),
-        )
+        object.__setattr__(self, "events", tuple(self.events))
         if self.kind == "scheduled":
             if not self.events:
                 raise ConfigError("scheduled failure spec needs events")
@@ -218,42 +193,6 @@ class FailureSpec:
             events.append(FailureEvent(t + outage, up, target))
         events.sort(key=lambda ev: (ev.time_us, ev.action, ev.target))
         return events
-
-    # -- serialization ------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "scheduled":
-            out["events"] = [ev.to_dict() for ev in self.events]
-        elif self.kind == "random":
-            out["mtbf_us"] = self.mtbf_us
-            out["mttr_us"] = self.mttr_us
-            out["count"] = self.count
-            if self.targets != "nic_links":
-                out["targets"] = self.targets
-        if self.detect_us != 5.0:
-            out["detect_us"] = self.detect_us
-        if self.stream != "failures":
-            out["stream"] = self.stream
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FailureSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"failure spec must be an object, got {data!r}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(
-                f"unknown failure spec keys: {', '.join(sorted(unknown))}"
-            )
-        if "events" in data:
-            data = dict(
-                data,
-                events=tuple(
-                    FailureEvent.from_dict(ev) if isinstance(ev, dict) else ev
-                    for ev in data["events"]
-                ),
-            )
-        return cls(**data)
 
 
 class FailureInjector:

@@ -10,9 +10,10 @@ machinery must recover.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.codec import Codec
 from repro.errors import ConfigError
 from repro.net.packet import Packet, PacketType
 
@@ -161,7 +162,7 @@ class CompositeLoss(LossModel):
 
 
 @dataclass(frozen=True)
-class LossSpec:
+class LossSpec(Codec):
     """Declarative, JSON-serializable selection of a :class:`LossModel`.
 
     This is the form scenario specs and :class:`~repro.config.ClusterConfig`
@@ -209,28 +210,3 @@ class LossSpec:
             )
             return BernoulliLoss(self.rate, kinds=kinds, stream=self.stream)
         return BitErrorLoss(self.ber, stream=self.stream)
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "bernoulli":
-            out["rate"] = self.rate
-            if self.packet_types is not None:
-                out["packet_types"] = list(self.packet_types)
-        elif self.kind == "bit_error":
-            out["ber"] = self.ber
-        if self.stream != "loss":
-            out["stream"] = self.stream
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "LossSpec":
-        if not isinstance(data, dict):
-            raise ConfigError(f"loss spec must be an object, got {data!r}")
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(
-                f"unknown loss spec keys: {', '.join(sorted(unknown))}"
-            )
-        if "packet_types" in data and data["packet_types"] is not None:
-            data = dict(data, packet_types=tuple(data["packet_types"]))
-        return cls(**data)

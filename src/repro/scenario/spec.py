@@ -12,8 +12,9 @@ bundles three parts:
   membership, process skew;
 * ``measurement`` — how it is timed: message sizes, iterations, warmup.
 
-Everything round-trips through JSON (``to_json``/``from_json``), which
-is what lets sweep cells carry their spec into pool workers and lets
+Everything round-trips through JSON (``to_json``/``from_json``, built
+on the shared :class:`~repro.codec.Codec`), which is what lets sweep
+cells carry their spec into pool workers and lets
 ``python -m repro.experiments --scenario spec.json`` run user-written
 scenarios without a figure module.
 """
@@ -24,6 +25,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from repro.codec import Codec
 from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.gm.params import GMCostModel
@@ -118,18 +120,8 @@ _SCHEME_CONTEXT = {
 }
 
 
-def _unknown_keys(data: dict[str, Any], cls: type, what: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{what} must be an object, got {data!r}")
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(
-            f"unknown {what} keys: {', '.join(sorted(unknown))}"
-        )
-
-
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(Codec):
     """What the nodes run.
 
     ``scheme`` is a multicast-registry key (canonical or the legacy
@@ -199,28 +191,9 @@ class WorkloadSpec:
         """MPI kinds: whether the NIC-based broadcast is selected."""
         return _MPI_SCHEMES.get(self.scheme, True)
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind, "scheme": self.scheme}
-        if self.tree_shape is not None:
-            out["tree_shape"] = self.tree_shape
-        if self.group is not None:
-            out["group"] = list(self.group)
-        if self.root != 0:
-            out["root"] = self.root
-        if self.max_skew != 0.0:
-            out["max_skew"] = self.max_skew
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WorkloadSpec":
-        _unknown_keys(data, cls, "workload spec")
-        if "group" in data and data["group"] is not None:
-            data = dict(data, group=tuple(data["group"]))
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TelemetrySpec:
+class TelemetrySpec(Codec):
     """Flight-recorder / time-series request riding on a measurement.
 
     ``sample`` is the fraction of root messages traced by the flight
@@ -249,24 +222,9 @@ class TelemetrySpec:
                 f"telemetry interval_us must be > 0, got {self.interval_us}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.sample != 1.0:
-            out["sample"] = self.sample
-        if self.cap != 1 << 18:
-            out["cap"] = self.cap
-        if self.interval_us != 1000.0:
-            out["interval_us"] = self.interval_us
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TelemetrySpec":
-        _unknown_keys(data, cls, "telemetry spec")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class MeasurementSpec:
+class MeasurementSpec(Codec):
     """How a workload is timed (the paper's loop shape)."""
 
     sizes: tuple[int, ...] = (0,)
@@ -274,7 +232,7 @@ class MeasurementSpec:
     warmup: int = 5
     metric: str = ""  #: informational; defaults to the kind's metric
     #: optional telemetry request (see :class:`TelemetrySpec`)
-    telemetry: "TelemetrySpec | None" = None
+    telemetry: TelemetrySpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sizes", tuple(self.sizes))
@@ -294,32 +252,9 @@ class MeasurementSpec:
                 f"{', '.join(sorted(set(METRIC_BY_KIND.values())))}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "sizes": list(self.sizes),
-            "iterations": self.iterations,
-            "warmup": self.warmup,
-        }
-        if self.metric:
-            out["metric"] = self.metric
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MeasurementSpec":
-        _unknown_keys(data, cls, "measurement spec")
-        if "sizes" in data:
-            data = dict(data, sizes=tuple(data["sizes"]))
-        if data.get("telemetry") is not None:
-            data = dict(
-                data, telemetry=TelemetrySpec.from_dict(data["telemetry"])
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(Codec):
     """Sustained serving traffic: many groups, continuous arrivals.
 
     The serving workload (``kind="serving"``) runs ``n_groups``
@@ -425,44 +360,9 @@ class TrafficSpec:
                 f"got {self.warmup_us}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "duration_us": self.duration_us,
-            "n_groups": self.n_groups,
-            "group_size": self.group_size,
-            "arrival": self.arrival,
-            "sizes": list(self.sizes),
-            "schemes": list(self.schemes),
-        }
-        if self.arrival == "poisson":
-            out["rate_per_group"] = self.rate_per_group
-        if self.trace_arrivals is not None:
-            out["trace_arrivals"] = [list(p) for p in self.trace_arrivals]
-        if self.churn_interval_us:
-            out["churn_interval_us"] = self.churn_interval_us
-        if self.warmup_us:
-            out["warmup_us"] = self.warmup_us
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TrafficSpec":
-        _unknown_keys(data, cls, "traffic spec")
-        if "sizes" in data:
-            data = dict(data, sizes=tuple(data["sizes"]))
-        if "schemes" in data:
-            data = dict(data, schemes=tuple(data["schemes"]))
-        if data.get("trace_arrivals") is not None:
-            data = dict(
-                data,
-                trace_arrivals=tuple(
-                    tuple(p) for p in data["trace_arrivals"]
-                ),
-            )
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class PartitionSpec:
+class PartitionSpec(Codec):
     """Sharded-kernel execution request (:mod:`repro.sim.parallel`).
 
     ``shards`` simulators run the scenario conservatively in parallel;
@@ -494,22 +394,6 @@ class PartitionSpec:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "shards": self.shards,
-            "partitioner": self.partitioner,
-        }
-        if self.seed:
-            out["seed"] = self.seed
-        if self.processes:
-            out["processes"] = self.processes
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PartitionSpec":
-        _unknown_keys(data, cls, "partition spec")
-        return cls(**data)
-
 
 #: Workload kinds that drive the multicast reliability stack (a
 #: ``reliability`` section is meaningless for unicast / MPI kinds).
@@ -517,7 +401,7 @@ _RELIABILITY_KINDS = ("multisend", "multicast", "serving", "broadcast")
 
 
 @dataclass(frozen=True)
-class ReliabilitySpec:
+class ReliabilitySpec(Codec):
     """Reliability-engine selection riding on a scenario.
 
     ``family`` names a :mod:`repro.proto.engines` registry entry
@@ -588,21 +472,9 @@ class ReliabilitySpec:
                 out[f.name] = value
         return out
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.family is not None:
-            out["family"] = self.family
-        out.update(self.params())
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ReliabilitySpec":
-        _unknown_keys(data, cls, "reliability spec")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Codec):
     """One complete, serializable experiment scenario."""
 
     workload: WorkloadSpec
@@ -692,47 +564,6 @@ class ScenarioSpec:
         ]
 
     # -- serialization -------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.name:
-            out["name"] = self.name
-        out["cluster"] = self.cluster.to_dict()
-        out["workload"] = self.workload.to_dict()
-        out["measurement"] = self.measurement.to_dict()
-        if self.traffic is not None:
-            out["traffic"] = self.traffic.to_dict()
-        if self.partition is not None:
-            out["partition"] = self.partition.to_dict()
-        if self.reliability is not None:
-            out["reliability"] = self.reliability.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
-        _unknown_keys(data, cls, "scenario spec")
-        if "workload" not in data:
-            raise ConfigError("scenario spec needs a 'workload' section")
-        kwargs: dict[str, Any] = {
-            "workload": WorkloadSpec.from_dict(data["workload"]),
-        }
-        if "cluster" in data:
-            kwargs["cluster"] = ClusterConfig.from_dict(data["cluster"])
-        if "measurement" in data:
-            kwargs["measurement"] = MeasurementSpec.from_dict(
-                data["measurement"]
-            )
-        if data.get("traffic") is not None:
-            kwargs["traffic"] = TrafficSpec.from_dict(data["traffic"])
-        if data.get("partition") is not None:
-            kwargs["partition"] = PartitionSpec.from_dict(data["partition"])
-        if data.get("reliability") is not None:
-            kwargs["reliability"] = ReliabilitySpec.from_dict(
-                data["reliability"]
-            )
-        if "name" in data:
-            kwargs["name"] = data["name"]
-        return cls(**kwargs)
-
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 

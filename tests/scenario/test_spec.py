@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ClusterConfig, cost_from_dict, cost_to_dict
+from repro.config import ClusterConfig
 from repro.errors import ConfigError
 from repro.gm.params import GMCostModel
 from repro.net.fault import BernoulliLoss, BitErrorLoss, LossSpec
@@ -54,24 +54,24 @@ def test_json_round_trip_defaults():
 
 def test_to_dict_omits_defaults():
     data = ScenarioSpec(workload=WorkloadSpec(kind="unicast")).to_dict()
-    assert data["cluster"] == {"n_nodes": 16}
+    assert "cluster" not in data
     assert "name" not in data
     assert "tree_shape" not in data["workload"]
 
 
 def test_cost_overrides_round_trip():
     cost = GMCostModel(link_latency=0.5, mtu=2048)
-    assert cost_from_dict(cost_to_dict(cost)) == cost
-    assert cost_to_dict(GMCostModel()) == {}
+    assert GMCostModel.from_dict(cost.to_dict()) == cost
+    assert GMCostModel().to_dict() == {}
 
 
 def test_cost_preset_round_trip():
-    slow = cost_from_dict({"preset": "slow_nic"})
+    slow = GMCostModel.from_dict({"preset": "slow_nic"})
     assert slow == GMCostModel.slow_nic()
     with pytest.raises(ConfigError, match="preset"):
-        cost_from_dict({"preset": "warp_speed"})
+        GMCostModel.from_dict({"preset": "warp_speed"})
     with pytest.raises(ConfigError, match="unknown cost model"):
-        cost_from_dict({"link_latencyy": 1.0})
+        GMCostModel.from_dict({"link_latencyy": 1.0})
 
 
 def test_metric_defaults_per_kind():

@@ -146,3 +146,21 @@ def test_no_runtime_networkx_under_src(tmp_path):
     assert len(violations) == 2
     assert all("networkx" in v for v in violations)
     assert not any("ok.py" in v for v in violations)
+
+
+def test_codec_is_a_leaf(tmp_path):
+    """repro.codec may import only repro.errors (net/ and gm/ inherit
+    its Codec, so any other repro import risks a cycle)."""
+    mod = _load_checker()
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "codec.py").write_text(
+        "from repro.errors import ConfigError\n"
+        "from repro.net.fault import LossSpec\n"
+    )
+    mod.SRC = src
+    mod.REPO = tmp_path
+
+    violations = mod.check_package("codec.py", mod.ALLOWED["codec.py"])
+    assert len(violations) == 1
+    assert "repro.net.fault" in violations[0]

@@ -45,6 +45,10 @@ Three rules are load-bearing enough to gate CI on:
   subscribed from ``repro.mcast``, ``repro.scenario``, and
   ``repro.workload`` — failure *application* lives in ``repro.net``,
   failure *reaction* above the engines, and nothing else gets to peek.
+* ``repro.codec`` (the spec codec every declarative dataclass
+  inherits) is a leaf: it may import nothing from ``repro`` but
+  ``repro.errors``, so ``repro.net`` and ``repro.gm`` can depend on it
+  without a cycle;
 * nothing under ``src/repro`` imports a package listed in
   ``TEST_ONLY_PACKAGES`` (networkx) at run time: the topology searches
   its own link table, and networkx is only the route oracle in tests.
@@ -116,6 +120,7 @@ ALLOWED = {
     "scenario": (
         "repro.scenario",
         "repro.cluster",
+        "repro.codec",
         "repro.config",
         "repro.errors",
         "repro.gm",
@@ -145,6 +150,9 @@ ALLOWED = {
         "repro.trees",
         "repro.perf",
     ),
+    # The spec codec is inherited by net/ and gm/ dataclasses: it must
+    # stay a leaf so those layers can import it without a cycle.
+    "codec.py": ("repro.errors",),
 }
 
 #: Packages (and top-level modules) allowed to import ``repro.obs``.
