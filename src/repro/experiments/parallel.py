@@ -90,8 +90,7 @@ class SweepExecutor:
         ``1`` runs in-process (no pool, no pickling).
 
     After :meth:`run`, ``timings`` holds each cell's ``(label,
-    wall_time)`` in submission order — the per-cell timing feed for
-    ``repro.perf``.
+    wall_time)`` in submission order.
     """
 
     def __init__(self, jobs: int | None = None):

@@ -1,8 +1,11 @@
-"""Performance measurement: kernel counters and the benchmark harness.
+"""Kernel cost counters and the pinned benchmark specs.
 
-``python -m repro.perf`` runs :mod:`repro.perf.bench_kernel` and writes
-``BENCH_kernel.json``.  Only the counters are imported eagerly — the
-benchmark pulls in the experiment stack and stays behind ``__main__``.
+:mod:`repro.perf.counters` is the leaf the simulation kernel increments
+on its hot path; it is the only part imported eagerly.
+:mod:`repro.perf.bench_serving` pins the serving spec the repo benchmark
+(``perfbench/``) runs, and :mod:`repro.perf.bench_parallel` measures
+the sharded kernel's serial-vs-shards scaling
+(``python -m repro.perf.bench_parallel``).
 """
 
 from repro.perf.counters import KERNEL_COUNTERS, KernelCounters

@@ -31,8 +31,7 @@ workload:
 
 The wall-clock comparison needs real cores.  On a single-CPU host the
 process passes would just time-slice one core, so they are skipped and
-the report carries ``"parallel_comparison": "skipped-1cpu"`` (the same
-honesty marker :func:`repro.perf.bench_kernel.bench_figure` uses); the
+the report carries ``"parallel_comparison": "skipped-1cpu"``; the
 determinism probe still runs — it is a correctness claim, not a speed
 claim.  CI regenerates this report on a multi-core runner and gates
 the 4-worker median speedup at :data:`SCALING_FLOOR`.
@@ -66,9 +65,9 @@ __all__ = [
 WORKER_COUNTS = (2, 4)
 
 #: Minimum acceptable median events/sec speedup vs. serial, per worker
-#: count, enforced by CI on multi-core runners (``tools/check_perf.py``
-#: style gate in the workflow).  The 4-worker floor is the PR's
-#: acceptance bar; the 2-worker floor just catches a conductor that
+#: count, enforced on multi-core runners by the CI ``parallel-scaling``
+#: job (``--check-scaling``).  The 4-worker floor is the acceptance
+#: bar; the 2-worker floor just catches a conductor that
 #: stopped overlapping shards at all.
 SCALING_FLOOR = {2: 1.2, 4: 2.0}
 

@@ -1,61 +1,21 @@
-"""Serving-workload benchmark: sustained events/sec through the kernel.
+"""The pinned serving workload: sustained multicast traffic with churn.
 
-The kernel microbenchmark (:func:`repro.perf.bench_kernel.bench_event_loop`)
-pumps distinct-timestamp timeouts — it measures the heap, not the
-regime the paper argues about.  This benchmark runs the sustained
-serving workload (:mod:`repro.workload`): concurrent multicast groups
-with mixed schemes, Poisson arrivals, membership churn — the traffic
-shape that hammers same-instant event bursts (fan-out replication) and
+Concurrent multicast groups with mixed schemes, Poisson arrivals and
+membership churn (:mod:`repro.workload`): the traffic shape that
+hammers same-instant event bursts (fan-out replication) and
 retransmit-timer arm/cancel churn, i.e. exactly what Kernel v3's batch
-drain and timer wheel optimize.
-
-The workload is pinned (spec + seed), so the processed-event count is
-deterministic; only the wall clock varies.  Rates are reported
-best-of-N *and* median-of-N — CI gates on the median, the
-noise-robust choice on shared runners.
+drain and timer wheel optimize.  The spec and seed are pinned, so the
+processed-event count is deterministic.  The repo benchmark
+(``perfbench/``, workload ``serving``) times it and
+``tests/perf/test_counts.py`` pins its exact cost counts.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-from statistics import median
-from typing import Any
-
-from repro.perf.counters import KERNEL_COUNTERS
-
-__all__ = [
-    "serving_spec",
-    "bench_serving",
-    "bench_telemetry_overhead",
-    "PRE_KERNEL_V3_SERVING",
-    "TELEMETRY_OVERHEAD_TOLERANCE",
-]
-
-#: Detached telemetry (a ``TelemetrySpec`` declared on the spec with no
-#: recorder attached) must stay within this fraction of the baseline
-#: median rate — the guard that keeps instrumentation sites one
-#: attribute check when nobody is observing.
-TELEMETRY_OVERHEAD_TOLERANCE = 0.02
-
-#: The serving benchmark measured on this exact workload under the v2
-#: kernel (binary heap only, no timer wheel, no same-instant batch
-#: drain), before Kernel v3 landed.  Recorded as a constant so the
-#: report can show before/after without keeping the old kernel alive.
-#: Measured as the median of six interleaved adjacent-process pairs
-#: (v3/v2 alternating, one warmup + best-of-2 per process) on the
-#: benchmarking host — the same protocol that produced the v3 numbers
-#: in ``BENCH_kernel.json``; ``events`` and ``msgs_delivered`` are
-#: deterministic (and byte-identical observables across both kernels:
-#: delivered=2714, p99=2916.076 µs).
-PRE_KERNEL_V3_SERVING: dict[str, Any] = {
-    "events": 458_401,
-    "events_per_sec": 267_864,
-    "msgs_delivered": 2_714,
-}
+__all__ = ["serving_spec"]
 
 
-def serving_spec(smoke: bool = False):
+def serving_spec():
     """The canonical benchmark workload (pinned spec + seed).
 
     16 nodes, 8 groups of 6 cycling through all four sustained-capable
@@ -70,7 +30,7 @@ def serving_spec(smoke: bool = False):
     return serving_point(
         n_nodes=16,
         traffic=TrafficSpec(
-            duration_us=10_000.0 if smoke else 120_000.0,
+            duration_us=120_000.0,
             n_groups=8,
             group_size=6,
             rate_per_group=1 / 2_000.0,
@@ -84,217 +44,3 @@ def serving_spec(smoke: bool = False):
         seed=11,
         name="bench_serving",
     )
-
-
-def bench_serving(repeats: int = 3, smoke: bool = False) -> dict[str, Any]:
-    """Run the pinned serving workload *repeats* times, report rates.
-
-    One untimed warmup pass faults in code objects first.  The event
-    count is identical across passes (the workload is deterministic);
-    ``events_per_sec`` is the best pass and ``median_events_per_sec``
-    the median — the CI perf gate compares medians.
-    """
-    import repro.workload  # noqa: F401  (registers the serving runner)
-    from repro.scenario import Harness
-
-    def one_pass(spec) -> tuple[Any, int, float]:
-        KERNEL_COUNTERS.reset()
-        started = time.perf_counter()
-        result = Harness(spec).run()
-        wall = time.perf_counter() - started
-        return result.values[0], KERNEL_COUNTERS.events, wall
-
-    # Full collection first: survivors a previous bench left in the
-    # young GC generations make every collection during the timed run
-    # re-scan them (measured -25% on this bench after the kernel pump).
-    gc.collect()
-    one_pass(serving_spec(smoke=True))  # warmup, untimed
-    spec = serving_spec(smoke=smoke)
-    passes = [one_pass(spec) for _ in range(max(1, repeats))]
-    rates = [round(ev / wall) for _, ev, wall in passes if wall > 0]
-    stats, events, wall = min(passes, key=lambda p: p[2])
-    event_counts = {ev for _, ev, _ in passes}
-    if len(event_counts) != 1:
-        raise AssertionError(
-            f"serving workload is not deterministic: {sorted(event_counts)}"
-        )
-    before = dict(PRE_KERNEL_V3_SERVING)
-    report = {
-        "workload": (
-            f"{spec.cluster.n_nodes} nodes, "
-            f"{spec.traffic.n_groups} groups x {spec.traffic.group_size}, "
-            f"{spec.traffic.duration_us:.0f}us, schemes "
-            f"{'/'.join(spec.traffic.schemes)}, churn"
-        ),
-        "events": events,
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(events / wall) if wall > 0 else None,
-        "median_events_per_sec": round(median(rates)) if rates else None,
-        "repeat_rates": rates,
-        "msgs_posted": stats.msgs_posted,
-        "msgs_delivered": stats.msgs_delivered,
-        "churn_events": stats.churn_events,
-        "p99_delivery_us": round(stats.quantile(0.99), 3),
-        "before": before,
-    }
-    if before["events_per_sec"] and stats.msgs_delivered == before["msgs_delivered"]:
-        # Only the full pinned workload is comparable to the committed
-        # pre-v3 measurement (the smoke variant runs a shorter spec);
-        # the deterministic delivery count is the guard — raw event
-        # counts differ across kernels by design (v3 runs fewer,
-        # cheaper events for the same schedule).
-        report["speedup_vs_pre_kernel_v3"] = round(
-            report["median_events_per_sec"] / before["events_per_sec"], 2
-        )
-    return report
-
-
-def bench_telemetry_overhead(
-    repeats: int = 3, smoke: bool = False
-) -> dict[str, Any]:
-    """Telemetry cost on the pinned serving workload, three ways.
-
-    * **baseline** — the spec as-is, nothing observing;
-    * **detached** — a :class:`~repro.scenario.spec.TelemetrySpec`
-      declared on the spec's measurement but no recorder attached.
-      Declaring telemetry is pure data, so the run is byte-identical
-      (asserted on the deterministic event count) and the best-pass
-      rate must stay within :data:`TELEMETRY_OVERHEAD_TOLERANCE` of
-      baseline — **this function raises otherwise**;
-    * **attached** — a full-sampling flight recorder plus a windowed
-      time-series sampler.  Recording costs what it costs; the fraction
-      is reported (``attached_overhead``) but never gated.
-
-    Baseline and detached passes are interleaved so slow clock drift on
-    a shared runner hits both sets equally.  The gate compares
-    best-of-N rates (identical schedules, so any wall-clock spread is
-    scheduler noise — the fastest pass of each set is the least noisy
-    estimate) against a **self-calibrating allowance**: the tolerance
-    plus the baseline set's own internal spread.  The baseline passes
-    run the exact same code, so their spread *is* the runner's noise
-    floor; a throttled CI box widens its own allowance, while on a
-    quiet host the spread is sub-percent and the 2% claim bites.  A
-    failing comparison re-measures once before raising.
-    """
-    import dataclasses
-
-    import repro.workload  # noqa: F401  (registers the serving runner)
-    from repro.obs.flight import FlightRecorder
-    from repro.obs.registry import MetricsRegistry
-    from repro.obs.timeseries import TimeSeriesRecorder
-    from repro.scenario import Harness
-    from repro.scenario.spec import TelemetrySpec
-
-    spec = serving_spec(smoke=smoke)
-    telemetry = TelemetrySpec(sample=1.0, interval_us=1_000.0)
-    detached_spec = dataclasses.replace(
-        spec,
-        measurement=dataclasses.replace(
-            spec.measurement, telemetry=telemetry
-        ),
-    )
-
-    def one_pass(harness: "Any") -> tuple[int, float]:
-        KERNEL_COUNTERS.reset()
-        started = time.perf_counter()
-        harness.run()
-        return KERNEL_COUNTERS.events, time.perf_counter() - started
-
-    def interleaved(
-        rounds: int,
-    ) -> tuple[list[tuple[int, float]], list[tuple[int, float]]]:
-        base: list[tuple[int, float]] = []
-        det: list[tuple[int, float]] = []
-        for _ in range(rounds):
-            base.append(one_pass(Harness(spec)))
-            det.append(one_pass(Harness(detached_spec)))
-        return base, det
-
-    gc.collect()
-    one_pass(Harness(serving_spec(smoke=True)))  # warmup, untimed
-    base_passes, det_passes = interleaved(max(1, repeats))
-
-    att_passes = []
-    for _ in range(max(1, repeats)):
-        registry = MetricsRegistry()
-        att_passes.append(one_pass(Harness(
-            detached_spec,
-            registry=registry,
-            flight=FlightRecorder(sample=telemetry.sample,
-                                  cap=telemetry.cap),
-            timeseries=TimeSeriesRecorder(
-                registry, interval_us=telemetry.interval_us
-            ),
-        )))
-
-    def rate(passes: list[tuple[int, float]]) -> int:
-        return round(median(ev / wall for ev, wall in passes if wall > 0))
-
-    def best(passes: list[tuple[int, float]]) -> float:
-        return max(
-            (ev / wall for ev, wall in passes if wall > 0), default=0.0
-        )
-
-    def check_events() -> None:
-        base_events = {ev for ev, _ in base_passes}
-        det_events = {ev for ev, _ in det_passes}
-        if base_events != det_events:
-            raise AssertionError(
-                "declaring telemetry changed the event schedule: "
-                f"baseline {sorted(base_events)} vs detached "
-                f"{sorted(det_events)}"
-            )
-
-    def noise_floor(passes: list[tuple[int, float]]) -> float:
-        # The baseline passes run identical schedules, so their own
-        # best-to-worst spread is the runner's wall-clock noise.
-        rates = [ev / wall for ev, wall in passes if wall > 0]
-        return 1.0 - min(rates) / max(rates) if rates else 0.0
-
-    def gate_state() -> tuple[float, float, float]:
-        best_base = best(base_passes)
-        ratio = best(det_passes) / best_base if best_base else 0.0
-        allowed = TELEMETRY_OVERHEAD_TOLERANCE + noise_floor(base_passes)
-        return best_base, ratio, allowed
-
-    check_events()
-    best_base, detached_ratio, allowed = gate_state()
-    if detached_ratio < 1.0 - allowed:
-        # One retry: the schedules are identical, so a sub-allowance
-        # ratio on the first sample is runner noise until measured
-        # twice.  The fresh passes fold into the pool (best-of widens).
-        extra_base, extra_det = interleaved(max(1, repeats))
-        base_passes += extra_base
-        det_passes += extra_det
-        check_events()
-        best_base, detached_ratio, allowed = gate_state()
-    baseline = rate(base_passes)
-    detached = rate(det_passes)
-    attached = rate(att_passes)
-    report = {
-        "workload": "pinned bench_serving spec"
-        + (" (smoke)" if smoke else ""),
-        "repeats": len(base_passes),
-        "baseline_events": base_passes[0][0],
-        "attached_events": att_passes[0][0],
-        "baseline_median_events_per_sec": baseline,
-        "detached_median_events_per_sec": detached,
-        "attached_median_events_per_sec": attached,
-        # Best-of-N basis: identical schedules, so the fastest pass of
-        # each set is the least noisy rate estimate.
-        "detached_ratio": round(detached_ratio, 4),
-        # Attached recording is report-only: it pays for what it keeps.
-        "attached_overhead": round(1.0 - attached / baseline, 4)
-        if baseline else None,
-        "tolerance": TELEMETRY_OVERHEAD_TOLERANCE,
-        "noise_floor": round(noise_floor(base_passes), 4),
-    }
-    if detached_ratio < 1.0 - allowed:
-        raise AssertionError(
-            f"detached telemetry cost exceeds "
-            f"{TELEMETRY_OVERHEAD_TOLERANCE:.0%} + "
-            f"{noise_floor(base_passes):.1%} noise floor: best baseline "
-            f"{best_base:.0f} vs best detached "
-            f"{best(det_passes):.0f} events/s ({detached_ratio:.4f})"
-        )
-    return report

@@ -1,9 +1,9 @@
 """Lightweight kernel performance counters.
 
 The simulation engine increments these on its hot path (one integer add
-per processed event), so any harness — ``repro.perf.bench_kernel``, a
-test, or an ad-hoc script — can compute events/sec around an arbitrary
-workload without instrumenting every ``Simulator`` it creates:
+per processed event), so any harness — ``perfbench/``, a test, or an
+ad-hoc script — can count or rate the events of an arbitrary workload
+without instrumenting every ``Simulator`` it creates:
 
     KERNEL_COUNTERS.reset()
     run_workload()

@@ -496,9 +496,7 @@ class ScenarioSpec(Codec):
             raise ConfigError(
                 f"group member outside the {n}-node cluster: {w.group}"
             )
-        if w.kind == "unicast" and n < 2:
-            raise ConfigError("unicast needs at least 2 nodes")
-        if w.kind != "unicast" and n < 2:
+        if n < 2:
             raise ConfigError(f"{w.kind} needs at least 2 nodes")
         if w.kind == "serving":
             if self.traffic is None:

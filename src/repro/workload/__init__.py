@@ -12,8 +12,8 @@ layer (it may import ``repro.sim``/``repro.net``/``repro.mcast``/
 ``repro.obs``).  The scenario harness cannot import *us*, so importing
 this package registers the serving runner with the harness's workload
 registry — entry points that run serving scenarios (`python -m
-repro.experiments --scenario`, ``repro.perf``) just import
-``repro.workload`` first.
+repro.experiments --scenario`, ``repro.perf.bench_parallel``,
+``perfbench/``) just import ``repro.workload`` first.
 """
 
 from repro.scenario.harness import register_workload_runner

@@ -166,3 +166,80 @@ def test_defuse_is_a_noop_with_records_outstanding():
 
     sim.process(driver())
     sim.run(until=2.0)
+
+
+def test_timer_churn_on_a_retransmitting_multicast():
+    """Twenty 4 KiB multicasts over an 8-node optimal tree with one
+    forced retransmission (data seq 1 dropped once).
+
+    Before the per-window :class:`RetransmitTimer`, every (re)arm pushed
+    its own ``call_at(lambda ...)`` heap callback: 141 callbacks, 117
+    fires, 116 of them stale.  The protocol still issues exactly those
+    141 (re)arm requests; the per-window timer turns far fewer of them
+    into heap traffic.  The counts come from a registry attached to the
+    run (what the ``repro.obs`` health report prints) and must agree
+    with the ``KERNEL_COUNTERS`` delta.
+    """
+    from repro.cluster import Cluster
+    from repro.config import ClusterConfig
+    from repro.gm.params import GMCostModel
+    from repro.mcast.manager import install_group
+    from repro.net.fault import ScriptedLoss
+    from repro.net.packet import PacketType
+    from repro.obs.registry import MetricsRegistry
+    from repro.trees import build_tree
+
+    n, size, rounds = 8, 4096, 20
+    cost = GMCostModel()
+    loss = ScriptedLoss(
+        lambda p: p.header.ptype is PacketType.MCAST_DATA
+        and p.header.seq == 1,
+        times=1,
+    )
+    cluster = Cluster(ClusterConfig(n_nodes=n, cost=cost, seed=0), loss=loss)
+    registry = MetricsRegistry()
+    cluster.sim.metrics = registry
+    dests = list(range(1, n))
+    install_group(
+        cluster, 1, build_tree(0, dests, shape="optimal", cost=cost, size=size)
+    )
+
+    def root():
+        for _ in range(rounds):
+            handle = yield from cluster.node(0).mcast.multicast_send(
+                cluster.port(0), 1, size
+            )
+            yield handle.done
+
+    def member(i):
+        port = cluster.port(i)
+        for _ in range(rounds):
+            yield from port.receive()
+            yield from port.provide_receive_buffer()
+
+    KERNEL_COUNTERS.reset()
+    procs = [cluster.spawn(root())] + [cluster.spawn(member(i)) for i in dests]
+    cluster.run(until=cluster.sim.all_of(procs))
+    snap = KERNEL_COUNTERS.snapshot()
+
+    counts = {
+        name: registry.value(f"proto.{name}")
+        for name in (
+            "timers_armed", "timers_scheduled", "timer_fires",
+            "timer_stale_fires",
+        )
+    }
+    assert counts == {name: snap[name] for name in counts}
+    # The same 141 (re)arm requests as the old per-record callbacks...
+    assert counts == {
+        "timers_armed": 141,
+        "timers_scheduled": 61,
+        "timer_fires": 2,
+        "timer_stale_fires": 1,
+    }
+    # ...and less heap traffic than the old 141 callbacks, 117 fires
+    # and 116 stale fires.
+    pre_refactor = {
+        "timers_scheduled": 141, "timer_fires": 117, "timer_stale_fires": 116,
+    }
+    assert all(counts[name] < pre_refactor[name] for name in pre_refactor)

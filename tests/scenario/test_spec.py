@@ -146,9 +146,13 @@ def test_cross_validation_against_cluster():
             workload=WorkloadSpec(kind="multicast", group=(9,)),
             cluster=ClusterConfig(n_nodes=8),
         )
-    with pytest.raises(ConfigError, match="at least 2"):
+
+
+@pytest.mark.parametrize("kind", ["unicast", "broadcast"])
+def test_one_node_cluster_rejected(kind):
+    with pytest.raises(ConfigError, match=f"^{kind} needs at least 2 nodes$"):
         ScenarioSpec(
-            workload=WorkloadSpec(kind="unicast"),
+            workload=WorkloadSpec(kind=kind),
             cluster=ClusterConfig(n_nodes=1),
         )
 

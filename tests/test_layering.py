@@ -42,25 +42,58 @@ def test_checker_sees_through_guards():
 
 
 def test_obs_back_edge_rule(tmp_path):
-    """Instrumented layers must not import repro.obs; experiments and
-    perf (which aggregate/report) may."""
+    """Instrumented layers and the perf benches must not import
+    repro.obs; experiments (which aggregates/reports) may."""
     mod = _load_checker()
     src = tmp_path / "src" / "repro"
     (src / "nic").mkdir(parents=True)
     (src / "perf").mkdir()
+    (src / "experiments").mkdir()
     (src / "nic" / "bad.py").write_text(
         "import repro.obs\n"
     )
-    (src / "perf" / "ok.py").write_text(
+    (src / "perf" / "bad.py").write_text(
+        "from repro.obs.flight import FlightRecorder\n"
+    )
+    (src / "experiments" / "ok.py").write_text(
         "from repro.obs.registry import MetricsRegistry\n"
     )
     mod.SRC = src
     mod.REPO = tmp_path
 
     violations = mod.check_obs_back_edges()
+    assert len(violations) == 2
+    flagged = " ".join(violations).replace("\\", "/")
+    assert "nic/bad.py" in flagged and "perf/bad.py" in flagged
+    assert "experiments/ok.py" not in flagged
+    flight = mod.check_obs_flight_back_edges()
+    assert len(flight) == 1
+    assert "perf/bad.py" in flight[0].replace("\\", "/")
+
+
+def test_sim_may_import_only_the_perf_counters(tmp_path):
+    """repro.perf.counters is the kernel's one allowed reach into
+    repro.perf; the benches above it (which pull in repro.scenario) are
+    out of bounds for sim/, sim/parallel.py, proto and proto/engines."""
+    mod = _load_checker()
+    src = tmp_path / "src" / "repro"
+    (src / "sim").mkdir(parents=True)
+    (src / "sim" / "ok.py").write_text(
+        "from repro.perf.counters import KERNEL_COUNTERS\n"
+    )
+    (src / "sim" / "bad.py").write_text(
+        "from repro.perf.bench_serving import serving_spec\n"
+    )
+    mod.SRC = src
+    mod.REPO = tmp_path
+
+    violations = mod.check_package("sim", mod.ALLOWED["sim"])
     assert len(violations) == 1
-    assert "nic/bad.py" in violations[0].replace("\\", "/")
-    assert "repro.obs" in violations[0]
+    assert "sim/bad.py" in violations[0].replace("\\", "/")
+    assert "repro.perf.bench_serving" in violations[0]
+    for entry in ("sim/parallel.py", "proto", "proto/engines"):
+        assert "repro.perf" not in mod.ALLOWED[entry], entry
+        assert "repro.perf.counters" in mod.ALLOWED[entry], entry
 
 
 def test_scenario_back_edge_rule(tmp_path):

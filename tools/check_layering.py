@@ -5,7 +5,10 @@ Three rules are load-bearing enough to gate CI on:
 
 * ``repro.sim`` is the bottom of the stack: it may import nothing from
   the rest of the package except :mod:`repro.perf.counters` (a leaf the
-  kernel increments on its hot path);
+  kernel increments on its hot path).  That module, not the whole
+  ``repro.perf`` package, is the exception everywhere it is allowed:
+  the rest of ``repro.perf`` holds benchmark specs built on
+  ``repro.scenario``;
 * ``repro.proto`` is the transport-agnostic reliability core: it sits
   below the protocol engines and must never import ``repro.gm`` or
   ``repro.mcast`` (nor anything above them);
@@ -18,8 +21,8 @@ Three rules are load-bearing enough to gate CI on:
   back.  A future widening of the ``proto`` entry cannot silently
   widen this one;
 * ``repro.obs`` is the observation layer on *top*: it may import from
-  every layer, but nothing outside ``repro.obs``, ``repro.experiments``,
-  and ``repro.perf`` may import it back (instrumented layers reach the
+  every layer, but nothing outside ``repro.obs`` and
+  ``repro.experiments`` may import it back (instrumented layers reach the
   registry only through the duck-typed ``sim.metrics`` slot and the
   flight recorder only through ``sim.flight`` — no instrumentation
   back-edges).  ``repro.obs.flight`` gets its own dedicated back-edge
@@ -70,7 +73,7 @@ SRC = REPO / "src" / "repro"
 
 #: package -> module prefixes it may import from ``repro``.
 ALLOWED = {
-    "sim": ("repro.sim", "repro.perf.counters", "repro.perf"),
+    "sim": ("repro.sim", "repro.perf.counters"),
     # Per-module exception: the conservative-parallel conductor
     # partitions Topology/Network state, so it may reach one layer up
     # into repro.net (and the shared error types) — but nothing higher;
@@ -80,7 +83,6 @@ ALLOWED = {
         "repro.net",
         "repro.errors",
         "repro.perf.counters",
-        "repro.perf",
     ),
     "proto": (
         "repro.proto",
@@ -89,7 +91,6 @@ ALLOWED = {
         "repro.nic",
         "repro.errors",
         "repro.perf.counters",
-        "repro.perf",
     ),
     # Explicit pin for the pluggable reliability engines: their
     # sender/receiver pairs are *used by* repro.gm and repro.mcast, so a
@@ -104,7 +105,6 @@ ALLOWED = {
         "repro.nic",
         "repro.errors",
         "repro.perf.counters",
-        "repro.perf",
     ),
     # Trees are pure structure (shapes, repair, feasibility checks):
     # they may use the cost model (repro.gm) and packet geometry
@@ -115,7 +115,6 @@ ALLOWED = {
         "repro.errors",
         "repro.gm",
         "repro.net",
-        "repro.perf",
     ),
     "scenario": (
         "repro.scenario",
@@ -132,7 +131,6 @@ ALLOWED = {
         "repro.proto",
         "repro.sim",
         "repro.trees",
-        "repro.perf",
     ),
     "workload": (
         "repro.workload",
@@ -148,7 +146,6 @@ ALLOWED = {
         "repro.proto",
         "repro.sim",
         "repro.trees",
-        "repro.perf",
     ),
     # The spec codec is inherited by net/ and gm/ dataclasses: it must
     # stay a leaf so those layers can import it without a cycle.
@@ -156,12 +153,12 @@ ALLOWED = {
 }
 
 #: Packages (and top-level modules) allowed to import ``repro.obs``.
-OBS_IMPORTERS = ("obs", "experiments", "perf")
+OBS_IMPORTERS = ("obs", "experiments")
 #: Packages allowed to import ``repro.obs.flight`` specifically — same
 #: set today, but checked separately so a future widening of
 #: OBS_IMPORTERS cannot silently hand the hot-path recorder type to a
 #: lower layer (instrumentation sites stay duck-typed on ``sim.flight``).
-OBS_FLIGHT_IMPORTERS = ("obs", "experiments", "perf")
+OBS_FLIGHT_IMPORTERS = ("obs", "experiments")
 #: Packages (and top-level modules) allowed to import ``repro.scenario``.
 SCENARIO_IMPORTERS = ("scenario", "workload", "experiments", "perf", "obs")
 #: Packages (and top-level modules) allowed to import ``repro.workload``.
